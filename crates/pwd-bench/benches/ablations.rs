@@ -1,82 +1,75 @@
-//! Criterion ablations over the three improvement axes of §4 plus the
-//! §4.3.1 right-child prepass — the design choices DESIGN.md calls out.
+//! Ablations over the three improvement axes of §4 plus the §4.3.1
+//! right-child prepass. Each group varies one `ParserConfig` knob of the
+//! improved preset and times warm recognize runs on the Python corpus, its
+//! arms interleaved.
+//!
+//! Ungated; writes `BENCH_ablations.json` in the shared
+//! [`pwd_bench::Trajectory`] schema.
 //!
 //! Run: `cargo bench -p pwd-bench --bench ablations`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pwd_bench::{python_cfg, python_corpus};
-use pwd_core::{CompactionMode, MemoKeying, NullStrategy, ParserConfig};
-use pwd_grammar::Compiled;
+use pwd_bench::{best_of, python_cfg, python_corpus, smoke_flag, Trajectory, WarmEngine};
+use pwd_core::{CompactionMode, MemoKeying, MemoStrategy, NullStrategy, ParserConfig};
 
-fn bench_config(c: &mut Criterion, group: &str, label: &str, config: ParserConfig, tokens: usize) {
+/// Times one group's arms (label, config, corpus target size) against each
+/// other and records each arm's best ns.
+fn group<const K: usize>(
+    traj: &mut Trajectory,
+    group: &str,
+    arms: [(&str, ParserConfig, usize); K],
+    rounds: u32,
+) {
     let cfg = python_cfg();
-    let corpus = python_corpus(&[tokens]);
-    let file = &corpus[0];
-    let mut pwd = Compiled::compile(&cfg, config);
-    let toks = pwd.tokens_from_lexemes(&file.lexemes).expect("terminals");
-    let start = pwd.start;
-    let mut g = c.benchmark_group(group);
-    g.sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    g.bench_with_input(BenchmarkId::new(label, file.tokens), &file.tokens, |b, _| {
-        b.iter(|| {
-            pwd.lang.reset();
-            assert!(pwd.lang.recognize(start, &toks).unwrap());
-        })
+    let mut engines = arms.map(|(label, config, target)| {
+        let file = python_corpus(&[target]).remove(0);
+        (label, file.tokens, WarmEngine::new(&cfg, config, &file.lexemes))
     });
-    g.finish();
+    let mut runs = engines.each_mut().map(|(_, _, engine)| move || engine.run());
+    let best = best_of(rounds, runs.each_mut().map(|run| run as &mut dyn FnMut()));
+    for ((label, tokens, _), ns) in engines.iter().zip(best) {
+        traj.record(&format!("{group}/{label}/tokens={tokens}/ns"), ns, "ns");
+    }
 }
 
-fn ablation_nullability(c: &mut Criterion) {
-    for (label, strategy) in [
+fn main() {
+    let rounds = if smoke_flag() { 3 } else { 10 };
+    let improved = ParserConfig::improved();
+    let mut traj = Trajectory::new("ablations");
+    let nullability = [
         ("labeled", NullStrategy::Labeled),
         ("worklist", NullStrategy::Worklist),
         ("naive", NullStrategy::Naive),
-    ] {
-        let config = ParserConfig { nullability: strategy, ..ParserConfig::improved() };
-        bench_config(c, "ablation_nullability", label, config, 200);
-    }
-}
+    ];
+    let arms = nullability
+        .map(|(label, nullability)| (label, ParserConfig { nullability, ..improved }, 200));
+    group(&mut traj, "nullability", arms, rounds);
 
-fn ablation_compaction(c: &mut Criterion) {
-    for (label, mode) in [
+    let compaction = [
         ("on_construction", CompactionMode::OnConstruction),
         ("separate_pass", CompactionMode::SeparatePass),
         ("none", CompactionMode::None),
-    ] {
-        let config = ParserConfig { compaction: mode, ..ParserConfig::improved() };
-        // Compaction off is the paper's "three minutes for 31 lines" arm:
-        // keep the input tiny.
-        let tokens = if mode == CompactionMode::None { 60 } else { 200 };
-        bench_config(c, "ablation_compaction", label, config, tokens);
-    }
-}
+    ];
+    // Compaction off is the paper's "three minutes for 31 lines" arm: keep
+    // its input tiny.
+    let arms = compaction.map(|(label, compaction)| {
+        let target = if compaction == CompactionMode::None { 60 } else { 200 };
+        (label, ParserConfig { compaction, ..improved }, target)
+    });
+    group(&mut traj, "compaction", arms, rounds);
 
-fn ablation_memo(c: &mut Criterion) {
-    use pwd_core::MemoStrategy;
-    for (label, memo) in [
+    let memo = [
         ("single_entry", MemoStrategy::SingleEntry),
         ("dual_entry", MemoStrategy::DualEntry),
         ("full_hash", MemoStrategy::FullHash),
-    ] {
-        let config = ParserConfig { memo, keying: MemoKeying::ByValue, ..ParserConfig::improved() };
-        bench_config(c, "ablation_memo", label, config, 200);
-    }
-}
+    ];
+    let arms = memo.map(|(label, memo)| {
+        (label, ParserConfig { memo, keying: MemoKeying::ByValue, ..improved }, 200)
+    });
+    group(&mut traj, "memo", arms, rounds);
 
-fn ablation_prepass(c: &mut Criterion) {
-    for (label, prepass) in [("with_prepass", true), ("without_prepass", false)] {
-        let config = ParserConfig { prepass_right_children: prepass, ..ParserConfig::improved() };
-        bench_config(c, "ablation_prepass", label, config, 200);
-    }
+    let arms = [("with_prepass", true), ("without_prepass", false)].map(|(label, prepass)| {
+        (label, ParserConfig { prepass_right_children: prepass, ..improved }, 200)
+    });
+    group(&mut traj, "prepass", arms, rounds);
+    traj.write(env!("CARGO_MANIFEST_DIR"));
 }
-
-criterion_group!(
-    benches,
-    ablation_nullability,
-    ablation_compaction,
-    ablation_memo,
-    ablation_prepass
-);
-criterion_main!(benches);

@@ -9,35 +9,15 @@
 //! the per-token cost the tentpole targets: memo probe + hash + epoch
 //! check per token (interpreted) vs one dense row index (table walk).
 //!
-//! Emits machine-readable trajectory samples (also written to
-//! `BENCH_automaton.json` at the workspace root) in the shared
-//! [`pwd_bench::Trajectory`] schema.
+//! Writes `BENCH_automaton.json` in the shared [`pwd_bench::Trajectory`]
+//! schema.
 //!
 //! Run: `cargo bench -p pwd-bench --bench automaton_throughput`
 //! (CI: `-- --smoke` relaxes the gate for noisy shared runners.)
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pwd_bench::Trajectory;
+use pwd_bench::{best_of, pl0_corpus, smoke_flag, Trajectory, WarmEngine, ID_REUSE};
 use pwd_core::{AutomatonMode, MemoKeying, ParseMode, ParserConfig};
-use pwd_grammar::{gen, grammars, Compiled};
-use pwd_lex::Lexeme;
-use std::time::Instant;
-
-/// ~90% of identifier occurrences are first occurrences — the adversarial
-/// corpus for value keying, and the home turf of everything class-keyed.
-const ID_REUSE: f64 = 0.1;
-
-fn corpus(targets: &[usize]) -> Vec<Vec<Lexeme>> {
-    let lx = grammars::pl0::lexer();
-    targets
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| {
-            let src = gen::pl0_source(t, 0xD1CE + i as u64, ID_REUSE);
-            lx.tokenize(&src).expect("generated PL/0 tokenizes")
-        })
-        .collect()
-}
+use pwd_grammar::grammars;
 
 fn config(automaton: AutomatonMode) -> ParserConfig {
     ParserConfig {
@@ -48,113 +28,58 @@ fn config(automaton: AutomatonMode) -> ParserConfig {
     }
 }
 
-/// Warm steady-state cost: compile once, warm up until rows/memos are
-/// built, then min-of-rounds (so scheduler noise cannot skew one arm).
-/// Returns the best ns per run plus the warm-run automaton counters.
-fn measure(automaton: AutomatonMode, lexemes: &[Lexeme], rounds: u32) -> (u128, u64, u64, u64) {
+fn main() {
+    let smoke = smoke_flag();
+    let rounds = if smoke { 20 } else { 40 };
     let grammar = grammars::pl0::cfg();
-    let mut pwd = Compiled::compile(&grammar, config(automaton));
-    let toks = pwd.tokens_from_lexemes(lexemes).expect("terminals");
-    let start = pwd.start;
-    let run = |pwd: &mut Compiled| {
-        let t0 = Instant::now();
-        pwd.lang.reset();
-        assert!(pwd.lang.recognize(start, &toks).unwrap());
-        t0.elapsed().as_nanos()
-    };
-    let mut rows_built = 0u64;
-    for _ in 0..rounds.div_ceil(4).max(3) {
-        run(&mut pwd); // warmup: builds all reachable rows lazily
-        rows_built += pwd.lang.metrics().auto_rows_built;
-    }
-    let best = (0..rounds).map(|_| run(&mut pwd)).min().expect("rounds > 0");
-    let m = pwd.lang.metrics();
-    (best, rows_built + m.auto_rows_built, m.auto_table_hits, m.auto_fallbacks)
-}
-
-fn bench_automaton_throughput(c: &mut Criterion) {
-    let sizes = [300usize, 1000];
-    let inputs = corpus(&sizes);
-
-    let mut group = c.benchmark_group("automaton_throughput");
-    group
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    for lexemes in &inputs {
-        let n = lexemes.len();
-        for (label, automaton) in
-            [("interpreted", AutomatonMode::Off), ("table_walk", AutomatonMode::Lazy)]
-        {
-            let grammar = grammars::pl0::cfg();
-            let mut pwd = Compiled::compile(&grammar, config(automaton));
-            let toks = pwd.tokens_from_lexemes(lexemes).expect("terminals");
-            let start = pwd.start;
-            group.bench_with_input(
-                BenchmarkId::new(format!("recognize/{label}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        pwd.lang.reset();
-                        assert!(pwd.lang.recognize(start, &toks).unwrap());
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-
-    // Trajectory samples, measured outside criterion so the two arms'
-    // numbers are directly comparable run over run.
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let inputs = pl0_corpus(&[300, 1000], 0xD1CE, ID_REUSE);
     let mut traj = Trajectory::new("automaton");
-    for lexemes in &inputs {
-        let tokens = lexemes.len();
-        let rounds = if smoke { 20u32 } else { 40 };
-        let (interp_ns, _, _, _) = measure(AutomatonMode::Off, lexemes, rounds);
-        let (table_ns, rows_built, table_hits, fallbacks) =
-            measure(AutomatonMode::Lazy, lexemes, rounds);
-        let speedup = interp_ns as f64 / table_ns as f64;
+    for (i, file) in inputs.iter().enumerate() {
+        let tokens = file.tokens;
+        let mut interp = WarmEngine::new(&grammar, config(AutomatonMode::Off), &file.lexemes);
+        let mut table = WarmEngine::new(&grammar, config(AutomatonMode::Lazy), &file.lexemes);
+        let mut rows_built = 0;
+        let [interp_ns, table_ns] = best_of(
+            rounds,
+            [&mut || interp.run(), &mut || {
+                table.run();
+                rows_built += table.pwd.lang.metrics().auto_rows_built;
+            }],
+        );
+        let m = table.pwd.lang.metrics();
+        let (table_hits, fallbacks) = (m.auto_table_hits, m.auto_fallbacks);
+        let speedup = interp_ns / table_ns;
         let fallback_rate = fallbacks as f64 / (table_hits + fallbacks).max(1) as f64;
-        traj.record(&format!("tokens={tokens}/interp_ns"), interp_ns as f64, "ns");
-        traj.record(&format!("tokens={tokens}/table_ns"), table_ns as f64, "ns");
+        traj.record(&format!("tokens={tokens}/interp_ns"), interp_ns, "ns");
+        traj.record(&format!("tokens={tokens}/table_ns"), table_ns, "ns");
         traj.record(
             &format!("tokens={tokens}/table_tokens_per_sec"),
-            (tokens as f64 / (table_ns as f64 / 1e9)).round(),
+            (tokens as f64 / (table_ns / 1e9)).round(),
             "tokens/s",
         );
         traj.record(&format!("tokens={tokens}/rows_built"), rows_built as f64, "count");
         traj.record(&format!("tokens={tokens}/fallback_rate"), fallback_rate, "ratio");
 
         // Warm steady state must be pure table walk: every token of the
-        // measured runs is a dense-row hit, no interpreted fallbacks.
+        // last run is a dense-row hit, no interpreted fallbacks.
         assert_eq!(fallbacks, 0, "warm runs must not leave the table ({tokens} tokens)");
         assert!(rows_built > 0, "the lazy automaton must actually build rows");
 
+        if i + 1 < inputs.len() {
+            traj.record(&format!("tokens={tokens}/speedup"), speedup, "ratio");
+            continue;
+        }
         // The tentpole gate, on the largest corpus (short inputs dilute
         // the win with fixed per-parse costs): the table walk must be ≥5×
         // the interpreted class-keyed path in recognize tokens/sec. Under
-        // `--smoke` (shared CI runners with noisy neighbors) the threshold
-        // relaxes to a sanity check — the recorded samples are the
-        // trajectory either way.
+        // `--smoke` the threshold relaxes to a sanity check.
         let gate = if smoke { 1.5 } else { 5.0 };
-        if tokens == inputs.last().map_or(0, Vec::len) {
-            traj.gate(&format!("tokens={tokens}/speedup"), speedup, "ratio", speedup >= gate);
-            traj.write(env!("CARGO_MANIFEST_DIR"));
-            assert!(
-                speedup >= gate,
-                "table walk must be ≥{gate}× the interpreted recognize path on the \
-                 lexeme-diverse corpus ({tokens} tokens: {interp_ns} vs {table_ns} ns)"
-            );
-        } else {
-            traj.record(&format!("tokens={tokens}/speedup"), speedup, "ratio");
-        }
+        traj.gate(&format!("tokens={tokens}/speedup"), speedup, "ratio", speedup >= gate);
+        traj.write(env!("CARGO_MANIFEST_DIR"));
+        assert!(
+            speedup >= gate,
+            "table walk must be ≥{gate}× the interpreted recognize path on the \
+             lexeme-diverse corpus ({tokens} tokens: {interp_ns} vs {table_ns} ns)"
+        );
     }
-
-    // Persist the trajectory next to the workspace root for the CI artifact
-    // and the repo's recorded history.
-    traj.write(env!("CARGO_MANIFEST_DIR"));
 }
-
-criterion_group!(benches, bench_automaton_throughput);
-criterion_main!(benches);

@@ -12,109 +12,75 @@
 //!   traversal, no enumeration);
 //! * `enum64_ns`   — bounded enumeration of 64 trees on the same forest.
 //!
-//! Emits machine-readable trajectory samples (also written to
-//! `BENCH_forest_amb.json` at the workspace root) in the shared
-//! [`pwd_bench::Trajectory`] schema.
+//! Writes `BENCH_forest_amb.json` in the shared [`pwd_bench::Trajectory`]
+//! schema.
 //!
 //! Run: `cargo bench -p pwd-bench --bench forest_amb`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use derp::api::{EnumLimits, ParseCount, ParseForest, Parser, PwdBackend};
-use pwd_bench::Trajectory;
+use derp::api::{EnumLimits, ParseCount, Parser, PwdBackend};
+use pwd_bench::{best_of, smoke_flag, Trajectory};
 use pwd_grammar::grammars;
-use std::time::Instant;
 
-/// Best-of-rounds nanoseconds for one closure.
-fn best_ns(rounds: u32, mut f: impl FnMut()) -> u128 {
-    (0..rounds)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos()
-        })
-        .min()
-        .expect("rounds > 0")
-}
-
-fn forest_for(backend: &mut PwdBackend, n: usize) -> ParseForest {
-    backend.parse_forest(&vec!["a"; n]).expect("catalan accepts a^n")
-}
-
-fn bench_forest_amb(c: &mut Criterion) {
+fn main() {
+    let smoke = smoke_flag();
+    let rounds = if smoke { 5 } else { 20 };
     let cfg = grammars::ambiguous::catalan();
     let sizes = [12usize, 18];
-
-    let mut group = c.benchmark_group("forest_amb");
-    group
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    for &n in &sizes {
-        let mut backend = PwdBackend::improved(&cfg);
-        let forest = forest_for(&mut backend, n);
-        group.bench_with_input(BenchmarkId::new("exact_count", n), &n, |b, _| {
-            b.iter(|| assert!(!forest.count().is_zero()))
-        });
-        group.bench_with_input(BenchmarkId::new("enum_64", n), &n, |b, _| {
-            b.iter(|| assert_eq!(forest.trees(EnumLimits::default()).len(), 64))
-        });
-    }
-    group.finish();
-
-    // Trajectory samples, measured outside criterion so the numbers are
-    // directly comparable round over round.
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let mut traj = Trajectory::new("forest_amb");
-    for &n in &sizes {
-        let rounds = if smoke { 5 } else { 20 };
+    for n in sizes {
+        let input = vec!["a"; n];
         let mut backend = PwdBackend::improved(&cfg);
-        let construct_ns = best_ns(rounds, || {
-            let _ = forest_for(&mut backend, n);
-        });
-        let forest = forest_for(&mut backend, n);
+        let mut parse = || backend.parse_forest(&input).expect("catalan accepts a^n");
+        // Construction allocates a fresh forest per run, so it is timed on
+        // its own: interleaved, it would evict the shared forest between
+        // the two gated arms below.
+        let [construct_ns] = best_of(
+            rounds,
+            [&mut || {
+                parse();
+            }],
+        );
+        let forest = parse();
         let count = forest.count();
-        let count_ns = best_ns(rounds, || assert!(!forest.count().is_zero()));
-        let enum64_ns =
-            best_ns(rounds, || assert_eq!(forest.trees(EnumLimits::default()).len(), 64));
-        let speedup = enum64_ns as f64 / count_ns as f64;
+        let [count_ns, enum64_ns] = best_of(
+            rounds,
+            [&mut || assert!(!forest.count().is_zero()), &mut || {
+                assert_eq!(forest.trees(EnumLimits::default()).len(), 64)
+            }],
+        );
+        let speedup = enum64_ns / count_ns;
         // The exact ambiguity count rides along as a sample (Catalan
         // numbers stay comfortably inside f64's exact-integer range at
         // these sizes).
         if let ParseCount::Finite(total) = count {
             traj.record(&format!("tokens={n}/ambiguity_count"), total as f64, "trees");
         }
-        traj.record(&format!("tokens={n}/construct_ns"), construct_ns as f64, "ns");
-        traj.record(&format!("tokens={n}/count_ns"), count_ns as f64, "ns");
-        traj.record(&format!("tokens={n}/enum64_ns"), enum64_ns as f64, "ns");
+        traj.record(&format!("tokens={n}/construct_ns"), construct_ns, "ns");
+        traj.record(&format!("tokens={n}/count_ns"), count_ns, "ns");
+        traj.record(&format!("tokens={n}/enum64_ns"), enum64_ns, "ns");
 
-        if n == *sizes.last().expect("sizes nonempty") {
-            // The tentpole's point: the count is exact and *complete* on an
-            // input whose tree set enumeration silently truncates…
-            match count {
-                ParseCount::Finite(total) => assert!(
-                    total > EnumLimits::default().max_trees as u128,
-                    "gate input must exceed the enumeration cap (got {total})"
-                ),
-                other => panic!("catalan count must be finite, got {other:?}"),
-            }
-            // …and an order of magnitude faster than even the truncated
-            // enumeration (relaxed under --smoke for noisy CI runners; the
-            // recorded samples are the trajectory either way).
-            let gate = if smoke { 4.0 } else { 10.0 };
-            traj.gate(&format!("tokens={n}/count_speedup"), speedup, "ratio", speedup >= gate);
-            traj.write(env!("CARGO_MANIFEST_DIR"));
-            assert!(
-                speedup >= gate,
-                "exact counting must be ≥{gate}× bounded enumeration at 64 trees \
-                 ({n} tokens: {count_ns} vs {enum64_ns} ns)"
-            );
-        } else {
+        if n != sizes[sizes.len() - 1] {
             traj.record(&format!("tokens={n}/count_speedup"), speedup, "ratio");
+            continue;
         }
+        // The tentpole's point: the count is exact and *complete* on an
+        // input whose tree set enumeration silently truncates…
+        match count {
+            ParseCount::Finite(total) => assert!(
+                total > EnumLimits::default().max_trees as u128,
+                "gate input must exceed the enumeration cap (got {total})"
+            ),
+            other => panic!("catalan count must be finite, got {other:?}"),
+        }
+        // …and an order of magnitude faster than even the truncated
+        // enumeration (relaxed under --smoke for noisy CI runners).
+        let gate = if smoke { 4.0 } else { 10.0 };
+        traj.gate(&format!("tokens={n}/count_speedup"), speedup, "ratio", speedup >= gate);
+        traj.write(env!("CARGO_MANIFEST_DIR"));
+        assert!(
+            speedup >= gate,
+            "exact counting must be ≥{gate}× bounded enumeration at 64 trees \
+             ({n} tokens: {count_ns} vs {enum64_ns} ns)"
+        );
     }
-
-    traj.write(env!("CARGO_MANIFEST_DIR"));
 }
-
-criterion_group!(benches, bench_forest_amb);
-criterion_main!(benches);

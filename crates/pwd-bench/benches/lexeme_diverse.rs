@@ -8,161 +8,78 @@
 //! derivatives across lexemes of one terminal (fully in recognize mode,
 //! via per-`(node, TermId)` templates in parse mode).
 //!
-//! Emits machine-readable trajectory samples (also written to
-//! `BENCH_lexeme_diverse.json` at the workspace root) in the shared
+//! Writes `BENCH_lexeme_diverse.json` in the shared
 //! [`pwd_bench::Trajectory`] schema.
 //!
 //! Run: `cargo bench -p pwd-bench --bench lexeme_diverse`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pwd_bench::Trajectory;
+use pwd_bench::{best_of, pl0_corpus, smoke_flag, Trajectory, WarmEngine, ID_REUSE};
 use pwd_core::{MemoKeying, ParseMode, ParserConfig};
-use pwd_grammar::{gen, grammars, Compiled};
-use pwd_lex::Lexeme;
-use std::time::Instant;
+use pwd_grammar::grammars;
 
-/// ~90% of identifier occurrences are first occurrences.
-const ID_REUSE: f64 = 0.1;
-
-fn corpus(targets: &[usize]) -> Vec<Vec<Lexeme>> {
-    let lx = grammars::pl0::lexer();
-    targets
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| {
-            let src = gen::pl0_source(t, 0xD1CE + i as u64, ID_REUSE);
-            lx.tokenize(&src).expect("generated PL/0 tokenizes")
-        })
-        .collect()
-}
-
-fn config(mode: ParseMode, keying: MemoKeying) -> ParserConfig {
-    ParserConfig { mode, keying, ..ParserConfig::improved() }
-}
-
-/// Best (minimum) ns per run of one compiled engine over the input — epoch
-/// reset between rounds, compile excluded, min-of-rounds so scheduler and
-/// frequency-scaling interference cannot skew one arm of the comparison.
-fn measure(cfg: ParserConfig, lexemes: &[Lexeme], rounds: u32) -> u128 {
+fn main() {
+    let smoke = smoke_flag();
     let grammar = grammars::pl0::cfg();
-    let mut pwd = Compiled::compile(&grammar, cfg);
-    let toks = pwd.tokens_from_lexemes(lexemes).expect("terminals");
-    let start = pwd.start;
-    let run = |pwd: &mut Compiled| {
-        let t0 = Instant::now();
-        pwd.lang.reset();
-        match cfg.mode {
-            ParseMode::Recognize => assert!(pwd.lang.recognize(start, &toks).unwrap()),
-            ParseMode::Parse => {
-                pwd.lang.parse_forest(start, &toks).expect("corpus parses");
-            }
-        }
-        t0.elapsed().as_nanos()
-    };
-    for _ in 0..rounds.div_ceil(4).max(2) {
-        run(&mut pwd); // warmup
-    }
-    (0..rounds).map(|_| run(&mut pwd)).min().expect("rounds > 0")
-}
-
-fn bench_lexeme_diverse(c: &mut Criterion) {
-    let sizes = [300usize, 1000];
-    let inputs = corpus(&sizes);
-
-    let mut group = c.benchmark_group("lexeme_diverse");
-    group
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    for lexemes in &inputs {
-        let n = lexemes.len();
-        for (label, keying) in
-            [("value_keyed", MemoKeying::ByValue), ("class_keyed", MemoKeying::ByClass)]
-        {
-            let grammar = grammars::pl0::cfg();
-            let mut pwd = Compiled::compile(&grammar, config(ParseMode::Recognize, keying));
-            let toks = pwd.tokens_from_lexemes(lexemes).expect("terminals");
-            let start = pwd.start;
-            group.bench_with_input(
-                BenchmarkId::new(format!("recognize/{label}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        pwd.lang.reset();
-                        assert!(pwd.lang.recognize(start, &toks).unwrap());
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-
-    // Trajectory samples, measured outside criterion so the numbers are
-    // directly comparable round over round.
+    let inputs = pl0_corpus(&[300, 1000], 0xD1CE, ID_REUSE);
     let mut traj = Trajectory::new("lexeme_diverse");
-    for lexemes in &inputs {
-        let tokens = lexemes.len();
-        let rounds = 20u32;
-        let value_rec = measure(config(ParseMode::Recognize, MemoKeying::ByValue), lexemes, rounds);
-        let class_rec = measure(config(ParseMode::Recognize, MemoKeying::ByClass), lexemes, rounds);
-        let value_par = measure(config(ParseMode::Parse, MemoKeying::ByValue), lexemes, rounds);
-        let class_par = measure(config(ParseMode::Parse, MemoKeying::ByClass), lexemes, rounds);
-        let rec_speedup = value_rec as f64 / class_rec as f64;
-        let par_speedup = value_par as f64 / class_par as f64;
-        traj.record(&format!("tokens={tokens}/value_recognize_ns"), value_rec as f64, "ns");
-        traj.record(&format!("tokens={tokens}/class_recognize_ns"), class_rec as f64, "ns");
+    for (i, file) in inputs.iter().enumerate() {
+        let tokens = file.tokens;
+        // Value- vs class-keyed best ns, per mode.
+        let [[value_rec, class_rec], [value_par, class_par]] =
+            [ParseMode::Recognize, ParseMode::Parse].map(|mode| {
+                let engine = |keying| {
+                    let config = ParserConfig { mode, keying, ..ParserConfig::improved() };
+                    WarmEngine::new(&grammar, config, &file.lexemes)
+                };
+                let mut value = engine(MemoKeying::ByValue);
+                let mut class = engine(MemoKeying::ByClass);
+                best_of(20, [&mut || value.run(), &mut || class.run()])
+            });
+        let rec_speedup = value_rec / class_rec;
+        let par_speedup = value_par / class_par;
+        traj.record(&format!("tokens={tokens}/value_recognize_ns"), value_rec, "ns");
+        traj.record(&format!("tokens={tokens}/class_recognize_ns"), class_rec, "ns");
         traj.record(
             &format!("tokens={tokens}/recognize_tokens_per_sec"),
-            (tokens as f64 / (class_rec as f64 / 1e9)).round(),
+            (tokens as f64 / (class_rec / 1e9)).round(),
             "tokens/s",
         );
-        traj.record(&format!("tokens={tokens}/value_parse_ns"), value_par as f64, "ns");
-        traj.record(&format!("tokens={tokens}/class_parse_ns"), class_par as f64, "ns");
+        traj.record(&format!("tokens={tokens}/value_parse_ns"), value_par, "ns");
+        traj.record(&format!("tokens={tokens}/class_parse_ns"), class_par, "ns");
 
+        if i + 1 < inputs.len() {
+            traj.record(&format!("tokens={tokens}/recognize_speedup"), rec_speedup, "ratio");
+            traj.record(&format!("tokens={tokens}/parse_speedup"), par_speedup, "ratio");
+            continue;
+        }
         // The tentpole gates, on the largest corpus (short inputs dilute
         // the win with fixed per-parse costs): class keying must at least
         // double recognize throughput on the mostly-unique-identifier
         // corpus and measurably improve parse mode (slack absorbs timer
-        // noise). Under `--smoke` (shared CI runners with noisy
-        // neighbors), the thresholds relax to sanity checks — the recorded
-        // samples are the trajectory either way.
-        let smoke = std::env::args().any(|a| a == "--smoke");
+        // noise). Under `--smoke` the thresholds relax to sanity checks.
         let (rec_gate, par_gate) = if smoke { (1.2, 0.9) } else { (2.0, 1.05) };
-        let gated = tokens == inputs.last().map_or(0, Vec::len);
-        if gated {
-            traj.gate(
-                &format!("tokens={tokens}/recognize_speedup"),
-                rec_speedup,
-                "ratio",
-                rec_speedup >= rec_gate,
-            );
-            traj.gate(
-                &format!("tokens={tokens}/parse_speedup"),
-                par_speedup,
-                "ratio",
-                par_speedup > par_gate,
-            );
-            traj.write(env!("CARGO_MANIFEST_DIR"));
-            assert!(
-                rec_speedup >= rec_gate,
-                "class keying must be ≥{rec_gate}× in recognize mode on lexeme-diverse input \
-                 ({tokens} tokens: {value_rec} vs {class_rec} ns)"
-            );
-            assert!(
-                par_speedup > par_gate,
-                "class templates must win in parse mode (>{par_gate}×) \
-                 ({tokens} tokens: {value_par} vs {class_par} ns)"
-            );
-        } else {
-            traj.record(&format!("tokens={tokens}/recognize_speedup"), rec_speedup, "ratio");
-            traj.record(&format!("tokens={tokens}/parse_speedup"), par_speedup, "ratio");
-        }
+        traj.gate(
+            &format!("tokens={tokens}/recognize_speedup"),
+            rec_speedup,
+            "ratio",
+            rec_speedup >= rec_gate,
+        );
+        traj.gate(
+            &format!("tokens={tokens}/parse_speedup"),
+            par_speedup,
+            "ratio",
+            par_speedup > par_gate,
+        );
+        traj.write(env!("CARGO_MANIFEST_DIR"));
+        assert!(
+            rec_speedup >= rec_gate,
+            "class keying must be ≥{rec_gate}× in recognize mode on lexeme-diverse input \
+             ({tokens} tokens: {value_rec} vs {class_rec} ns)"
+        );
+        assert!(
+            par_speedup > par_gate,
+            "class templates must win in parse mode (>{par_gate}×) \
+             ({tokens} tokens: {value_par} vs {class_par} ns)"
+        );
     }
-
-    // Persist the trajectory next to the workspace root for the CI artifact
-    // and the repo's recorded history.
-    traj.write(env!("CARGO_MANIFEST_DIR"));
 }
-
-criterion_group!(benches, bench_lexeme_diverse);
-criterion_main!(benches);

@@ -23,170 +23,77 @@
 //! `cargo bench -p pwd-bench --no-default-features --bench obs_overhead &&
 //!  cargo bench -p pwd-bench --bench obs_overhead`
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use pwd_bench::Trajectory;
+use pwd_bench::{best_of, pl0_corpus, smoke_flag, Trajectory, WarmEngine, ID_REUSE};
 use pwd_core::{MemoKeying, ParseMode, ParserConfig};
-use pwd_grammar::{gen, grammars, Compiled};
-use pwd_lex::Lexeme;
-use std::time::Instant;
-
-/// ~90% of identifier occurrences are first occurrences — the same
-/// lexeme-diverse workload the keying and automaton benches use, chosen
-/// here because its per-token hot loop is where a stray clock read or
-/// branch in the hook sites would show up.
-const ID_REUSE: f64 = 0.1;
-
-/// One corpus size is enough: the gate is a ratio on one workload, not a
-/// scaling curve.
-const TOKENS_TARGET: usize = 1000;
+use pwd_grammar::grammars;
 
 /// Instrumentation-disabled overhead ceiling, percent.
 const GATE_PERCENT: f64 = 2.0;
 
-fn corpus() -> Vec<Lexeme> {
-    let lx = grammars::pl0::lexer();
-    let src = gen::pl0_source(TOKENS_TARGET, 0xD1CE, ID_REUSE);
-    lx.tokenize(&src).expect("generated PL/0 tokenizes")
-}
-
-fn config() -> ParserConfig {
-    ParserConfig {
+fn main() {
+    // One corpus size is enough: the gate is a ratio on one workload, not a
+    // scaling curve. The lexeme-diverse corpus is chosen because its
+    // per-token hot loop is where a stray clock read or branch in the hook
+    // sites would show up.
+    let file = pl0_corpus(&[1000], 0xD1CE, ID_REUSE).remove(0);
+    let tokens = file.tokens;
+    let smoke = smoke_flag();
+    let config = ParserConfig {
         mode: ParseMode::Recognize,
         keying: MemoKeying::ByClass,
         ..ParserConfig::improved()
-    }
-}
-
-/// Best (minimum) ns per warm recognize run — compile once, epoch reset
-/// between rounds, min-of-rounds so scheduler noise cannot inflate either
-/// arm of the comparison.
-fn measure(lexemes: &[Lexeme], rounds: u32) -> u128 {
-    let grammar = grammars::pl0::cfg();
-    let mut pwd = Compiled::compile(&grammar, config());
-    let toks = pwd.tokens_from_lexemes(lexemes).expect("terminals");
-    let start = pwd.start;
-    let run = |pwd: &mut Compiled| {
-        let t0 = Instant::now();
-        pwd.lang.reset();
-        assert!(pwd.lang.recognize(start, &toks).unwrap());
-        t0.elapsed().as_nanos()
     };
-    for _ in 0..rounds.div_ceil(4).max(3) {
-        run(&mut pwd); // warmup
-    }
-    (0..rounds).map(|_| run(&mut pwd)).min().expect("rounds > 0")
-}
+    let mut engine = WarmEngine::new(&grammars::pl0::cfg(), config, &file.lexemes);
+    let [best] = best_of(if smoke { 30 } else { 60 }, [&mut || engine.run()]);
 
-/// The metric name of the hook-free baseline sample in
-/// `BENCH_obs_overhead.json`. The corpus is deterministic, so both phases
-/// see the same token count.
-fn baseline_name(tokens: usize) -> String {
-    format!("tokens={tokens}/no_hooks_ns")
-}
-
-/// Pulls the baseline sample's line and value back out of a previously
-/// written trajectory file — a targeted string scan, since the schema is
-/// this crate's own fixed format and the workspace deliberately carries no
-/// JSON parser.
-fn read_baseline(manifest_dir: &str, tokens: usize) -> Option<(String, f64)> {
-    let path = format!("{manifest_dir}/../../BENCH_obs_overhead.json");
-    let text = std::fs::read_to_string(path).ok()?;
-    let needle = format!("\"name\":\"{}\"", baseline_name(tokens));
-    let line = text.lines().find(|l| l.contains(&needle))?;
-    let rest = line.split("\"value\":").nth(1)?;
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | 'e' | 'E' | '+'))
-        .collect();
-    Some((line.to_string(), num.parse().ok()?))
-}
-
-fn bench_obs_overhead(c: &mut Criterion) {
-    let lexemes = corpus();
-    let tokens = lexemes.len();
-
-    // The criterion group rides along for local inspection; the gate runs
-    // on the min-of-rounds measurement below.
-    let arm = if cfg!(feature = "obs") { "hooks_disabled" } else { "no_hooks" };
-    let mut group = c.benchmark_group("obs_overhead");
-    group
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    {
-        let grammar = grammars::pl0::cfg();
-        let mut pwd = Compiled::compile(&grammar, config());
-        let toks = pwd.tokens_from_lexemes(&lexemes).expect("terminals");
-        let start = pwd.start;
-        group.bench_function(&format!("recognize/{arm}"), |b| {
-            b.iter(|| {
-                pwd.lang.reset();
-                assert!(pwd.lang.recognize(start, &toks).unwrap());
-            })
-        });
-    }
-    group.finish();
-
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let rounds = if smoke { 30u32 } else { 60 };
-    let best = measure(&lexemes, rounds);
-
+    // The corpus is deterministic, so both phases see the same token count.
+    let baseline_name = format!("tokens={tokens}/no_hooks_ns");
     let mut traj = Trajectory::new("obs_overhead");
-    if cfg!(feature = "obs") {
-        // Gated phase: hooks are compiled in but no sink is enabled — the
-        // per-feed check is one branch on a `None` option, never a clock
-        // read. Compare against the hook-free baseline from phase 1.
-        traj.record(&format!("tokens={tokens}/hooks_disabled_ns"), best as f64, "ns");
-        traj.record(
-            &format!("tokens={tokens}/hooks_disabled_tokens_per_sec"),
-            (tokens as f64 / (best as f64 / 1e9)).round(),
-            "tokens/s",
-        );
-        match read_baseline(env!("CARGO_MANIFEST_DIR"), tokens) {
-            Some((baseline_line, baseline_ns)) if baseline_ns > 0.0 => {
-                let overhead = (best as f64 / baseline_ns - 1.0) * 100.0;
-                // Min-of-rounds still jitters a few percent on shared CI
-                // runners; `--smoke` widens the ceiling so the gate tests
-                // "no accidental clock read in the hot loop" (which would
-                // cost tens of percent), not timer luck.
-                let gate = if smoke { GATE_PERCENT + 6.0 } else { GATE_PERCENT };
-                traj.gate(
-                    &format!("tokens={tokens}/overhead_percent"),
-                    overhead,
-                    "percent",
-                    overhead <= gate,
-                );
-                traj.carry_line(baseline_line);
-                traj.write(env!("CARGO_MANIFEST_DIR"));
-                assert!(
-                    overhead <= gate,
-                    "disabled instrumentation must cost ≤{gate}% vs the hook-free build \
-                     ({tokens} tokens: {baseline_ns} ns without hooks, {best} ns disabled \
-                     = {overhead:.2}% overhead)"
-                );
-            }
-            _ => {
-                println!(
-                    "note: no `{}` baseline in BENCH_obs_overhead.json — run \
-                     `cargo bench -p pwd-bench --no-default-features --bench obs_overhead` \
-                     first to arm the gate",
-                    baseline_name(tokens)
-                );
-                traj.write(env!("CARGO_MANIFEST_DIR"));
-            }
-        }
-    } else {
+    if !cfg!(feature = "obs") {
         // Baseline phase: the hook-free build. Write the sample the gated
         // phase compares against.
-        traj.record(&baseline_name(tokens), best as f64, "ns");
+        traj.record(&baseline_name, best, "ns");
         traj.record(
             &format!("tokens={tokens}/no_hooks_tokens_per_sec"),
-            (tokens as f64 / (best as f64 / 1e9)).round(),
+            (tokens as f64 / (best / 1e9)).round(),
             "tokens/s",
         );
         traj.write(env!("CARGO_MANIFEST_DIR"));
+        return;
     }
-}
 
-criterion_group!(benches, bench_obs_overhead);
-criterion_main!(benches);
+    // Gated phase: hooks are compiled in but no sink is enabled — the
+    // per-feed check is one branch on a `None` option, never a clock read.
+    // Compare against the hook-free baseline from phase 1.
+    traj.record(&format!("tokens={tokens}/hooks_disabled_ns"), best, "ns");
+    traj.record(
+        &format!("tokens={tokens}/hooks_disabled_tokens_per_sec"),
+        (tokens as f64 / (best / 1e9)).round(),
+        "tokens/s",
+    );
+    let baseline = Trajectory::read(env!("CARGO_MANIFEST_DIR"), "obs_overhead", &baseline_name);
+    let Some((baseline_line, baseline_ns)) = baseline.filter(|&(_, ns)| ns > 0.0) else {
+        println!(
+            "note: no `{baseline_name}` baseline in BENCH_obs_overhead.json — run \
+             `cargo bench -p pwd-bench --no-default-features --bench obs_overhead` \
+             first to arm the gate"
+        );
+        traj.write(env!("CARGO_MANIFEST_DIR"));
+        return;
+    };
+    let overhead = (best / baseline_ns - 1.0) * 100.0;
+    // Min-of-rounds still jitters a few percent on shared CI runners;
+    // `--smoke` widens the ceiling so the gate tests "no accidental clock
+    // read in the hot loop" (which would cost tens of percent), not timer
+    // luck.
+    let gate = if smoke { GATE_PERCENT + 6.0 } else { GATE_PERCENT };
+    traj.gate(&format!("tokens={tokens}/overhead_percent"), overhead, "percent", overhead <= gate);
+    traj.carry_line(baseline_line);
+    traj.write(env!("CARGO_MANIFEST_DIR"));
+    assert!(
+        overhead <= gate,
+        "disabled instrumentation must cost ≤{gate}% vs the hook-free build \
+         ({tokens} tokens: {baseline_ns} ns without hooks, {best} ns disabled \
+         = {overhead:.2}% overhead)"
+    );
+}

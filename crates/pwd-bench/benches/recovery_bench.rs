@@ -15,92 +15,51 @@
 //! Run: `cargo bench -p pwd-bench --bench recovery_bench` (add `-- --smoke`
 //! for the quick CI arm, which widens the gate for noisy shared runners).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use derp::api::{Parser, PwdBackend, Session};
 use derp::RecoveryBudget;
-use pwd_bench::Trajectory;
-use pwd_grammar::{gen, grammars};
+use pwd_bench::{best_of, pl0_corpus, smoke_flag, Trajectory, ID_REUSE};
+use pwd_grammar::grammars;
 use pwd_lex::Lexeme;
-use std::time::Instant;
-
-/// Same corpus shape as the keying/automaton/obs benches: ~90% of
-/// identifier occurrences are first occurrences, so the per-token path —
-/// where recovery's checkpoint would hurt — dominates.
-const ID_REUSE: f64 = 0.1;
-const TOKENS_TARGET: usize = 1000;
 
 /// Clean-input overhead ceiling, percent.
 const GATE_PERCENT: f64 = 5.0;
 
-fn corpus() -> Vec<Lexeme> {
-    let lx = grammars::pl0::lexer();
-    let src = gen::pl0_source(TOKENS_TARGET, 0xEC0_7E5, ID_REUSE);
-    lx.tokenize(&src).expect("generated PL/0 tokenizes")
-}
-
-/// A lightly damaged copy of the corpus: every ~120th token is dropped, so
-/// the damaged arm repairs a handful of real errors per run (the editor
-/// workload, not a torture test).
-fn damaged(clean: &[Lexeme]) -> Vec<Lexeme> {
-    clean.iter().enumerate().filter(|(i, _)| i % 120 != 60).map(|(_, l)| l.clone()).collect()
-}
-
-/// Best (minimum) ns for one full session over `lexemes` — open, optional
-/// recovery, feed, finish — on a reused backend, min-of-rounds so
-/// scheduler noise cannot inflate either arm.
-fn measure(backend: &mut PwdBackend, lexemes: &[Lexeme], recovery: bool, rounds: u32) -> u128 {
-    let run = |backend: &mut PwdBackend| {
-        let t0 = Instant::now();
-        let mut session = Session::open(backend as &mut dyn Parser).expect("fresh session");
-        if recovery {
-            session.enable_recovery(RecoveryBudget::default());
-        }
-        session.feed_lexemes(lexemes).expect("known kinds");
-        let (accepted, diags) = session.finish_with_diagnostics().expect("finish");
-        assert!(accepted, "corpus must parse (possibly after repair)");
-        std::hint::black_box(diags);
-        t0.elapsed().as_nanos()
-    };
-    for _ in 0..rounds.div_ceil(4).max(3) {
-        run(backend); // warmup
+/// One full session over `lexemes` — open, optional recovery, feed,
+/// finish — on a reused backend.
+fn session_run(backend: &mut PwdBackend, lexemes: &[Lexeme], recovery: bool) {
+    let mut session = Session::open(backend as &mut dyn Parser).expect("fresh session");
+    if recovery {
+        session.enable_recovery(RecoveryBudget::default());
     }
-    (0..rounds).map(|_| run(backend)).min().expect("rounds > 0")
+    session.feed_lexemes(lexemes).expect("known kinds");
+    let (accepted, diags) = session.finish_with_diagnostics().expect("finish");
+    assert!(accepted, "corpus must parse (possibly after repair)");
+    std::hint::black_box(diags);
 }
 
-fn bench_recovery(c: &mut Criterion) {
-    let clean = corpus();
-    let broken = damaged(&clean);
+fn main() {
+    // The per-token path — where recovery's checkpoint would hurt —
+    // dominates on the lexeme-diverse corpus.
+    let clean = pl0_corpus(&[1000], 0xEC0_7E5, ID_REUSE).remove(0).lexemes;
+    // A lightly damaged copy: every ~120th token is dropped, so the damaged
+    // arm repairs a handful of real errors per run (the editor workload,
+    // not a torture test).
+    let broken: Vec<Lexeme> =
+        clean.iter().enumerate().filter(|(i, _)| i % 120 != 60).map(|(_, l)| l.clone()).collect();
     let tokens = clean.len();
     let cfg = grammars::pl0::cfg();
-    let mut backend = PwdBackend::improved(&cfg);
+    let (mut off_backend, mut on_backend) =
+        (PwdBackend::improved(&cfg), PwdBackend::improved(&cfg));
 
-    // Criterion group for local inspection; the gate runs on the
-    // min-of-rounds measurement below.
-    let mut group = c.benchmark_group("recovery");
-    group
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    for (label, recovery) in [("clean/recovery_off", false), ("clean/recovery_on", true)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut session =
-                    Session::open(&mut backend as &mut dyn Parser).expect("fresh session");
-                if recovery {
-                    session.enable_recovery(RecoveryBudget::default());
-                }
-                session.feed_lexemes(&clean).expect("known kinds");
-                assert!(session.finish().expect("finish"));
-            })
-        });
-    }
-    group.finish();
-
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let rounds = if smoke { 20u32 } else { 50 };
-    let off = measure(&mut backend, &clean, false, rounds);
-    let on = measure(&mut backend, &clean, true, rounds);
-    let overhead = (on as f64 / off as f64 - 1.0) * 100.0;
+    let smoke = smoke_flag();
+    let rounds = if smoke { 20 } else { 50 };
+    let [off, on] = best_of(
+        rounds,
+        [&mut || session_run(&mut off_backend, &clean, false), &mut || {
+            session_run(&mut on_backend, &clean, true)
+        }],
+    );
+    let overhead = (on / off - 1.0) * 100.0;
     // Min-of-rounds still jitters a few percent on shared CI runners;
     // `--smoke` widens the ceiling so the gate catches a structural
     // regression (repair search running on healthy feeds, which costs
@@ -108,8 +67,8 @@ fn bench_recovery(c: &mut Criterion) {
     let gate = if smoke { GATE_PERCENT + 5.0 } else { GATE_PERCENT };
 
     let mut traj = Trajectory::new("recovery");
-    traj.record(&format!("tokens={tokens}/clean_recovery_off_ns"), off as f64, "ns");
-    traj.record(&format!("tokens={tokens}/clean_recovery_on_ns"), on as f64, "ns");
+    traj.record(&format!("tokens={tokens}/clean_recovery_off_ns"), off, "ns");
+    traj.record(&format!("tokens={tokens}/clean_recovery_on_ns"), on, "ns");
     traj.gate(
         &format!("tokens={tokens}/clean_overhead_percent"),
         overhead,
@@ -118,11 +77,12 @@ fn bench_recovery(c: &mut Criterion) {
     );
 
     // Damaged-input trajectory (ungated): what repair itself costs.
-    let repaired = measure(&mut backend, &broken, true, rounds.div_ceil(2));
-    traj.record(&format!("tokens={}/damaged_recovery_on_ns", broken.len()), repaired as f64, "ns");
+    let [repaired] =
+        best_of(rounds.div_ceil(2), [&mut || session_run(&mut on_backend, &broken, true)]);
+    traj.record(&format!("tokens={}/damaged_recovery_on_ns", broken.len()), repaired, "ns");
     traj.record(
         &format!("tokens={}/damaged_repair_slowdown", broken.len()),
-        repaired as f64 / on as f64,
+        repaired / on,
         "ratio",
     );
     traj.write(env!("CARGO_MANIFEST_DIR"));
@@ -133,6 +93,3 @@ fn bench_recovery(c: &mut Criterion) {
          ({tokens} tokens: {off} ns off, {on} ns on = {overhead:.2}% overhead)"
     );
 }
-
-criterion_group!(benches, bench_recovery);
-criterion_main!(benches);

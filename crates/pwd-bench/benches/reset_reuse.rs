@@ -1,102 +1,44 @@
 //! Bench for the epoch-reset tentpole: repeated parsing throughput when the
 //! `Language` is reused via `reset()` versus recompiled from scratch for
-//! every input. Emits one machine-readable JSON line for the bench
-//! trajectory, e.g.:
+//! every input (what a service without epoch reset would have to do per
+//! request), on the Python corpus.
 //!
-//! ```text
-//! {"bench":"reset_reuse","tokens":600,"fresh_ns":1234,"reset_ns":456,"speedup":2.71}
-//! ```
+//! Gate: reuse must not lose to recompiling (10% slack for timer noise).
+//! Writes `BENCH_reset_reuse.json` in the shared [`pwd_bench::Trajectory`]
+//! schema.
 //!
 //! Run: `cargo bench -p pwd-bench --bench reset_reuse`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pwd_bench::{python_cfg, python_corpus};
+use pwd_bench::{best_of, python_cfg, python_corpus, Trajectory, WarmEngine};
 use pwd_core::ParserConfig;
-use pwd_grammar::Compiled;
-use std::time::Instant;
 
-fn bench_reset_reuse(c: &mut Criterion) {
+fn main() {
     let cfg = python_cfg();
-    let corpus = python_corpus(&[200, 600]);
-
-    let mut group = c.benchmark_group("reset_reuse");
-    group
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(4))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    for file in &corpus {
-        let n = file.tokens;
-
-        // Fresh arm: recompile the grammar for every parse (what a service
-        // without epoch reset would have to do per request).
-        group.bench_with_input(BenchmarkId::new("fresh_compile", n), &n, |b, _| {
-            b.iter(|| {
-                let mut pwd = Compiled::compile(&cfg, ParserConfig::improved());
-                let toks = pwd.tokens_from_lexemes(&file.lexemes).expect("terminals");
-                assert!(pwd.lang.recognize(pwd.start, &toks).unwrap());
-            })
-        });
-
-        // Reuse arm: one compile, epoch reset between parses.
-        let mut pwd = Compiled::compile(&cfg, ParserConfig::improved());
-        let toks = pwd.tokens_from_lexemes(&file.lexemes).expect("terminals");
-        let start = pwd.start;
-        group.bench_with_input(BenchmarkId::new("epoch_reset", n), &n, |b, _| {
-            b.iter(|| {
-                pwd.lang.reset();
-                assert!(pwd.lang.recognize(start, &toks).unwrap());
-            })
-        });
-    }
-    group.finish();
-
-    // One JSON trajectory line per corpus size, measured outside criterion so
-    // the numbers are directly comparable round over round.
-    for file in &corpus {
-        let (warmup, rounds) = (3u32, 20u32);
-
-        for _ in 0..warmup {
-            let mut pwd = Compiled::compile(&cfg, ParserConfig::improved());
-            let toks = pwd.tokens_from_lexemes(&file.lexemes).expect("terminals");
-            assert!(pwd.lang.recognize(pwd.start, &toks).unwrap());
-        }
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            let mut pwd = Compiled::compile(&cfg, ParserConfig::improved());
-            let toks = pwd.tokens_from_lexemes(&file.lexemes).expect("terminals");
-            assert!(pwd.lang.recognize(pwd.start, &toks).unwrap());
-        }
-        let fresh_ns = t0.elapsed().as_nanos() / rounds as u128;
-
-        let mut pwd = Compiled::compile(&cfg, ParserConfig::improved());
-        let toks = pwd.tokens_from_lexemes(&file.lexemes).expect("terminals");
-        let start = pwd.start;
-        for _ in 0..warmup {
-            pwd.lang.reset();
-            assert!(pwd.lang.recognize(start, &toks).unwrap());
-        }
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            pwd.lang.reset();
-            assert!(pwd.lang.recognize(start, &toks).unwrap());
-        }
-        let reset_ns = t0.elapsed().as_nanos() / rounds as u128;
-
-        println!(
-            "{{\"bench\":\"reset_reuse\",\"tokens\":{},\"fresh_ns\":{},\"reset_ns\":{},\"speedup\":{:.3}}}",
-            file.tokens,
-            fresh_ns,
-            reset_ns,
-            fresh_ns as f64 / reset_ns as f64,
+    let mut traj = Trajectory::new("reset_reuse");
+    for file in python_corpus(&[200, 600]) {
+        let tokens = file.tokens;
+        let mut reused = WarmEngine::new(&cfg, ParserConfig::improved(), &file.lexemes);
+        let [fresh_ns, reset_ns] = best_of(
+            20,
+            [
+                // Fresh: compile, convert and recognize for every input.
+                &mut || WarmEngine::new(&cfg, ParserConfig::improved(), &file.lexemes).run(),
+                &mut || reused.run(),
+            ],
         );
-        // Reuse must not lose to recompiling (10% slack for timer noise; the
-        // JSON line above is the recorded trajectory).
+        let speedup = fresh_ns / reset_ns;
+        traj.record(&format!("tokens={tokens}/fresh_ns"), fresh_ns, "ns");
+        traj.record(&format!("tokens={tokens}/reset_ns"), reset_ns, "ns");
+        traj.gate(
+            &format!("tokens={tokens}/speedup"),
+            speedup,
+            "ratio",
+            reset_ns <= fresh_ns * 1.10,
+        );
+        traj.write(env!("CARGO_MANIFEST_DIR"));
         assert!(
-            reset_ns as f64 <= fresh_ns as f64 * 1.10,
-            "epoch reset must not be slower than recompiling ({reset_ns} vs {fresh_ns})"
+            reset_ns <= fresh_ns * 1.10,
+            "epoch reset must not be slower than recompiling ({reset_ns} vs {fresh_ns} ns)"
         );
     }
 }
-
-criterion_group!(benches, bench_reset_reuse);
-criterion_main!(benches);

@@ -1,34 +1,25 @@
 //! Throughput of the `pwd-serve` batch service as workers scale.
 //!
 //! Submits a fixed Python-grammar corpus through `ParseService::submit_batch`
-//! at 1, 2, 4, and 8 workers and reports inputs/sec per worker count, plus
-//! the 1 → 4 scaling factor. Emits one machine-readable JSON line for the
-//! bench trajectory, e.g.:
-//!
-//! ```text
-//! {"bench":"serve_throughput","mode":"full","cpus":8,"files":24,
-//!  "tokens_total":7168,"grammar_fingerprint":"0x…","series":[
-//!  {"workers":1,"inputs_per_sec":103.2},…],"speedup_1_to_4":2.87}
-//! ```
+//! at 1, 2, 4, and 8 workers and records inputs/sec per worker count, plus
+//! the 1 → 4 scaling factor, in `BENCH_serve_throughput.json` (shared
+//! [`pwd_bench::Trajectory`] schema).
 //!
 //! Run: `cargo bench -p pwd-bench --bench serve_throughput`
 //! Smoke (CI): `cargo bench -p pwd-bench --bench serve_throughput -- --smoke`
-//! (few iterations, workers 1 and 2 only, no scaling assertion).
+//! (smaller corpus, fewer rounds, workers 1 and 2 only, no scaling gate).
 //!
 //! The parse work is CPU-bound and sessions are per-worker, so scaling is
-//! gated on the hardware: the ≥ 2.5× 1 → 4 workers assertion only fires when
-//! the host actually exposes ≥ 4 CPUs (the `cpus` field records what the
+//! gated on the hardware: the ≥ 2.5× 1 → 4 workers gate only fires when
+//! the host actually exposes ≥ 4 CPUs (the `cpus` sample records what the
 //! trajectory was measured on).
 
-use pwd_bench::{python_cfg, python_corpus};
+use pwd_bench::{best_of, python_cfg, python_corpus, smoke_flag, Trajectory};
 use pwd_serve::{Input, ParseService, ServiceConfig};
-use std::time::Instant;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var_os("SERVE_THROUGHPUT_SMOKE").is_some();
+    let smoke = smoke_flag();
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-
     let (files, tokens_per_file, rounds, worker_counts): (usize, usize, u32, &[usize]) =
         if smoke { (6, 120, 1, &[1, 2]) } else { (24, 300, 3, &[1, 2, 4, 8]) };
 
@@ -38,83 +29,51 @@ fn main() {
         corpus.iter().map(|f| Input::from_lexemes(f.lexemes.clone())).collect();
     let tokens_total: usize = corpus.iter().map(|f| f.tokens).sum();
 
-    println!(
-        "== serve_throughput ({}) — {files} files, {tokens_total} tokens, {cpus} cpu(s) ==",
-        if smoke { "smoke" } else { "full" },
-    );
-
+    let mut traj = Trajectory::new("serve_throughput");
+    traj.record("cpus", cpus as f64, "count");
+    traj.record("files", files as f64, "count");
+    traj.record("tokens_total", tokens_total as f64, "tokens");
     let mut series: Vec<(usize, f64)> = Vec::new();
     for &workers in worker_counts {
         let service = ParseService::new(ServiceConfig { workers, ..Default::default() });
-        // Warm-up: compile the grammar into the cache and fork each worker's
-        // session once, so the timed window measures steady-state serving.
-        let warm = service.submit_batch(&cfg, &inputs).expect("service accepts corpus");
-        assert_eq!(warm.metrics.accepted, files, "corpus must parse");
-
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            let report = service.submit_batch(&cfg, &inputs).expect("service accepts corpus");
-            assert_eq!(report.metrics.accepted, files);
-            assert!(report.metrics.cache_hit, "warm batches must not recompile");
-        }
-        let elapsed = t0.elapsed();
-        let inputs_per_sec = (files as u32 * rounds) as f64 / elapsed.as_secs_f64();
-
+        // Compile the grammar into the cache first, so every measured batch
+        // (warm-up rounds included) is a cache hit.
+        let first = service.submit_batch(&cfg, &inputs).expect("service accepts corpus");
+        assert_eq!(first.metrics.accepted, files, "corpus must parse");
+        let [batch_ns] = best_of(
+            rounds,
+            [&mut || {
+                let report = service.submit_batch(&cfg, &inputs).expect("service accepts corpus");
+                assert_eq!(report.metrics.accepted, files);
+                assert!(report.metrics.cache_hit, "warm batches must not recompile");
+            }],
+        );
         let m = service.metrics();
         assert!(
             m.sessions.forked <= (workers * files) as u64 && m.sessions.reused > 0,
             "pool must reuse sessions, not refork: {:?}",
             m.sessions
         );
-        println!(
-            "workers={workers}  {:>8.1} inputs/s  ({:>9.0} tokens/s, forked={}, reused={})",
-            inputs_per_sec,
-            inputs_per_sec * (tokens_total / files) as f64,
-            m.sessions.forked,
-            m.sessions.reused,
-        );
+        let inputs_per_sec = files as f64 / (batch_ns / 1e9);
+        traj.record(&format!("workers={workers}/inputs_per_sec"), inputs_per_sec, "inputs/s");
         series.push((workers, inputs_per_sec));
     }
 
     let at = |w: usize| series.iter().find(|(ws, _)| *ws == w).map(|(_, v)| *v);
-    let speedup_1_to_4 = match (at(1), at(4)) {
-        (Some(one), Some(four)) => four / one,
-        _ => f64::NAN,
-    };
-
-    let series_json: Vec<String> = series
-        .iter()
-        .map(|(w, v)| format!("{{\"workers\":{w},\"inputs_per_sec\":{v:.1}}}"))
-        .collect();
-    let speedup_json = if speedup_1_to_4.is_finite() {
-        format!("{speedup_1_to_4:.3}")
-    } else {
-        "null".to_string() // smoke mode measures 1 and 2 workers only
-    };
-    println!(
-        "{{\"bench\":\"serve_throughput\",\"mode\":\"{}\",\"cpus\":{},\"files\":{},\
-         \"tokens_total\":{},\"grammar_fingerprint\":\"{:#018x}\",\"series\":[{}],\
-         \"speedup_1_to_4\":{}}}",
-        if smoke { "smoke" } else { "full" },
-        cpus,
-        files,
-        tokens_total,
-        cfg.fingerprint(),
-        series_json.join(","),
-        speedup_json,
-    );
-
-    // The scaling acceptance gate: parallel workers must buy real throughput
-    // wherever the hardware can express it.
-    if !smoke && cpus >= 4 {
-        assert!(
-            speedup_1_to_4 >= 2.5,
-            "1 → 4 workers must scale ≥ 2.5× on ≥ 4 CPUs (got {speedup_1_to_4:.2}×)"
-        );
-    } else if !smoke {
-        println!(
-            "note: {cpus} cpu(s) visible — recording trajectory only, \
-             ≥2.5× scaling gate needs ≥ 4"
-        );
+    // The scaling acceptance gate: parallel workers must buy real
+    // throughput wherever the hardware can express it. Smoke runs measure
+    // 1 and 2 workers only, so they carry no scaling sample.
+    let speedup = at(1).zip(at(4)).map(|(one, four)| four / one);
+    match speedup {
+        Some(s) if cpus >= 4 => traj.gate("speedup_1_to_4", s, "ratio", s >= 2.5),
+        Some(s) => {
+            traj.record("speedup_1_to_4", s, "ratio");
+            println!("note: {cpus} cpu(s) visible — ≥2.5× scaling gate needs ≥ 4");
+        }
+        None => {}
+    }
+    traj.write(env!("CARGO_MANIFEST_DIR"));
+    if let Some(s) = speedup.filter(|_| cpus >= 4) {
+        assert!(s >= 2.5, "1 → 4 workers must scale ≥ 2.5× on ≥ 4 CPUs (got {s:.2}×)");
     }
 }

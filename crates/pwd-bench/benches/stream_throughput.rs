@@ -11,168 +11,101 @@
 //! headline (gated) numbers use the engine's recognize mode with
 //! class-keyed memoization — the fast configuration, where pipeline
 //! overhead is a large fraction of the run and materialization cannot
-//! hide behind derivative work; parse-mode numbers ride along in the same
-//! JSON line.
+//! hide behind derivative work; parse-mode numbers are gated alongside.
 //!
-//! Emits machine-readable trajectory samples (also written to
-//! `BENCH_stream_throughput.json` at the workspace root) in the shared
+//! Writes `BENCH_stream_throughput.json` in the shared
 //! [`pwd_bench::Trajectory`] schema.
 //!
 //! Run: `cargo bench -p pwd-bench --bench stream_throughput`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use derp::api::{PwdBackend, Recognizer};
-use pwd_bench::Trajectory;
+use pwd_bench::{best_of, pl0_corpus, smoke_flag, Trajectory, ID_REUSE};
 use pwd_core::{MemoKeying, ParseMode, ParserConfig};
-use pwd_grammar::{gen, grammars, Cfg};
-use std::time::Instant;
-
-/// ~90% of identifier occurrences are first occurrences — the
-/// lexeme-diverse workload where per-token pipeline costs dominate.
-const ID_REUSE: f64 = 0.1;
-
-fn corpus(targets: &[usize]) -> Vec<(String, usize)> {
-    let lx = grammars::pl0::lexer();
-    targets
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| {
-            let src = gen::pl0_source(t, 0x5EED + i as u64, ID_REUSE);
-            let tokens = lx.tokenize(&src).expect("generated PL/0 tokenizes").len();
-            (src, tokens)
-        })
-        .collect()
-}
+use pwd_grammar::{grammars, Cfg};
+use pwd_lex::Lexer;
 
 fn backend(grammar: &Cfg, mode: ParseMode) -> PwdBackend {
     let config = ParserConfig { mode, keying: MemoKeying::ByClass, ..ParserConfig::improved() };
     PwdBackend::with_config(grammar, config, "pwd-stream-bench")
 }
 
-/// Materialize-then-parse: lex the whole input into an owned `Vec<Lexeme>`,
-/// then hand the slice to the backend.
-fn run_materialized(backend: &mut PwdBackend, lexer: &pwd_lex::Lexer, src: &str) -> bool {
-    let lexemes = lexer.tokenize(src).expect("corpus tokenizes");
-    backend.recognize_lexemes(&lexemes).expect("corpus parses")
+/// Best ns per end-to-end run of `(materialized, fused)` in `mode`, each
+/// arm on its own warm backend.
+fn measure(grammar: &Cfg, mode: ParseMode, lexer: &Lexer, src: &str, rounds: u32) -> [f64; 2] {
+    let (mut mat, mut fus) = (backend(grammar, mode), backend(grammar, mode));
+    best_of(
+        rounds,
+        [
+            // Materialize-then-parse: lex the whole input into an owned
+            // `Vec<Lexeme>`, then hand the slice to the backend.
+            &mut || {
+                let lexemes = lexer.tokenize(src).expect("corpus tokenizes");
+                assert!(mat.recognize_lexemes(&lexemes).expect("corpus parses"));
+            },
+            // Fused streaming: pull zero-copy tokens out of the lexer
+            // source and feed them straight into the session — no
+            // `Vec<Lexeme>` exists on this path.
+            &mut || {
+                let mut source = lexer.source(src);
+                assert!(fus.recognize_source(&mut source).expect("corpus parses"));
+            },
+        ],
+    )
 }
 
-/// Fused streaming: pull zero-copy tokens out of the lexer source and feed
-/// them straight into the session — no `Vec<Lexeme>` exists on this path.
-fn run_fused(backend: &mut PwdBackend, lexer: &pwd_lex::Lexer, src: &str) -> bool {
-    let mut source = lexer.source(src);
-    backend.recognize_source(&mut source).expect("corpus parses")
-}
-
-/// Best (minimum) ns per end-to-end run for both arms, **interleaved**
-/// round by round (materialized, fused, materialized, …) so scheduler noise
-/// and frequency-scaling drift hit both arms alike instead of biasing
-/// whichever ran second. Returns `(materialized_ns, fused_ns)`.
-fn measure(
-    grammar: &Cfg,
-    mode: ParseMode,
-    lexer: &pwd_lex::Lexer,
-    src: &str,
-    rounds: u32,
-) -> (u128, u128) {
-    let mut mat_backend = backend(grammar, mode);
-    let mut fus_backend = backend(grammar, mode);
-    for _ in 0..rounds.div_ceil(4).max(2) {
-        assert!(run_materialized(&mut mat_backend, lexer, src), "warmup run must accept");
-        assert!(run_fused(&mut fus_backend, lexer, src), "warmup run must accept");
-    }
-    let mut best_mat = u128::MAX;
-    let mut best_fus = u128::MAX;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        assert!(run_materialized(&mut mat_backend, lexer, src));
-        best_mat = best_mat.min(t0.elapsed().as_nanos());
-        let t0 = Instant::now();
-        assert!(run_fused(&mut fus_backend, lexer, src));
-        best_fus = best_fus.min(t0.elapsed().as_nanos());
-    }
-    (best_mat, best_fus)
-}
-
-fn bench_stream_throughput(c: &mut Criterion) {
-    let sizes = [300usize, 1000];
-    let inputs = corpus(&sizes);
+fn main() {
+    let smoke = smoke_flag();
+    let rounds = if smoke { 12 } else { 30 };
     let grammar = grammars::pl0::cfg();
     let lexer = grammars::pl0::lexer();
-
-    let mut group = c.benchmark_group("stream_throughput");
-    group
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_secs(1));
-    for (src, tokens) in &inputs {
-        let mut b1 = backend(&grammar, ParseMode::Recognize);
-        group.bench_with_input(BenchmarkId::new("materialized", tokens), tokens, |b, _| {
-            b.iter(|| assert!(run_materialized(&mut b1, &lexer, src)))
-        });
-        let mut b2 = backend(&grammar, ParseMode::Recognize);
-        group.bench_with_input(BenchmarkId::new("fused", tokens), tokens, |b, _| {
-            b.iter(|| assert!(run_fused(&mut b2, &lexer, src)))
-        });
-    }
-    group.finish();
-
-    // Trajectory samples, measured outside criterion so the numbers are
-    // directly comparable round over round.
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let inputs = pl0_corpus(&[300, 1000], 0x5EED, ID_REUSE);
     let mut traj = Trajectory::new("stream_throughput");
-    for (src, tokens) in &inputs {
-        let rounds = if smoke { 12u32 } else { 30 };
-        let (materialized, fused) = measure(&grammar, ParseMode::Recognize, &lexer, src, rounds);
-        let (parse_mat, parse_fus) = measure(&grammar, ParseMode::Parse, &lexer, src, rounds);
-        let speedup = materialized as f64 / fused as f64;
-        let parse_speedup = parse_mat as f64 / parse_fus as f64;
-        traj.record(&format!("tokens={tokens}/materialized_ns"), materialized as f64, "ns");
-        traj.record(&format!("tokens={tokens}/fused_ns"), fused as f64, "ns");
+    for (i, file) in inputs.iter().enumerate() {
+        let tokens = file.tokens;
+        let [materialized, fused] =
+            measure(&grammar, ParseMode::Recognize, &lexer, &file.src, rounds);
+        let [parse_mat, parse_fus] = measure(&grammar, ParseMode::Parse, &lexer, &file.src, rounds);
+        let speedup = materialized / fused;
+        let parse_speedup = parse_mat / parse_fus;
+        traj.record(&format!("tokens={tokens}/materialized_ns"), materialized, "ns");
+        traj.record(&format!("tokens={tokens}/fused_ns"), fused, "ns");
         traj.record(
             &format!("tokens={tokens}/fused_tokens_per_sec"),
-            (*tokens as f64 / (fused as f64 / 1e9)).round(),
+            (tokens as f64 / (fused / 1e9)).round(),
             "tokens/s",
         );
-        traj.record(&format!("tokens={tokens}/parse_materialized_ns"), parse_mat as f64, "ns");
-        traj.record(&format!("tokens={tokens}/parse_fused_ns"), parse_fus as f64, "ns");
+        traj.record(&format!("tokens={tokens}/parse_materialized_ns"), parse_mat, "ns");
+        traj.record(&format!("tokens={tokens}/parse_fused_ns"), parse_fus, "ns");
 
+        if i + 1 < inputs.len() {
+            traj.record(&format!("tokens={tokens}/fused_speedup"), speedup, "ratio");
+            traj.record(&format!("tokens={tokens}/parse_fused_speedup"), parse_speedup, "ratio");
+            continue;
+        }
         // The tentpole gates, on the largest corpus: the fused path does
         // strictly less work than materialize-then-parse (no intermediate
         // vector, no per-token Strings), so it must be at least on par in
         // both modes — within a 5% noise allowance, since single-digit-µs
         // runs jitter even under best-of-N. Under `--smoke` (shared CI
-        // runners) the threshold relaxes to a sanity check; the recorded
-        // samples are the trajectory either way.
+        // runners) the threshold relaxes to a sanity check.
         let gate = if smoke { 0.8 } else { 0.95 };
-        if tokens == &inputs.last().expect("nonempty corpus").1 {
-            traj.gate(&format!("tokens={tokens}/fused_speedup"), speedup, "ratio", speedup >= gate);
-            traj.gate(
-                &format!("tokens={tokens}/parse_fused_speedup"),
-                parse_speedup,
-                "ratio",
-                parse_speedup >= gate,
-            );
-            traj.write(env!("CARGO_MANIFEST_DIR"));
-            assert!(
-                speedup >= gate,
-                "fused streaming must be ≥{gate}× vs materialized \
-                 ({tokens} tokens: {materialized} vs {fused} ns)"
-            );
-            assert!(
-                parse_speedup >= gate,
-                "fused parse-mode streaming must be ≥{gate}× vs materialized \
-                 ({tokens} tokens: {parse_mat} vs {parse_fus} ns)"
-            );
-        } else {
-            traj.record(&format!("tokens={tokens}/fused_speedup"), speedup, "ratio");
-            traj.record(&format!("tokens={tokens}/parse_fused_speedup"), parse_speedup, "ratio");
-        }
+        traj.gate(&format!("tokens={tokens}/fused_speedup"), speedup, "ratio", speedup >= gate);
+        traj.gate(
+            &format!("tokens={tokens}/parse_fused_speedup"),
+            parse_speedup,
+            "ratio",
+            parse_speedup >= gate,
+        );
+        traj.write(env!("CARGO_MANIFEST_DIR"));
+        assert!(
+            speedup >= gate,
+            "fused streaming must be ≥{gate}× vs materialized \
+             ({tokens} tokens: {materialized} vs {fused} ns)"
+        );
+        assert!(
+            parse_speedup >= gate,
+            "fused parse-mode streaming must be ≥{gate}× vs materialized \
+             ({tokens} tokens: {parse_mat} vs {parse_fus} ns)"
+        );
     }
-
-    // Persist the trajectory next to the workspace root for the CI artifact
-    // and the repo's recorded history.
-    traj.write(env!("CARGO_MANIFEST_DIR"));
 }
-
-criterion_group!(benches, bench_stream_throughput);
-criterion_main!(benches);

@@ -1,16 +1,21 @@
-//! Shared infrastructure for the figure-regenerating benchmark binaries.
+//! Shared infrastructure for the figure-regenerating benchmark binaries and
+//! the gated benches.
 //!
 //! Every table and figure of the paper's evaluation (§4) has a binary in
 //! `src/bin/` that prints (a) CSV rows `x,series,value` for plotting and
 //! (b) a human-readable summary juxtaposing the paper's headline number
-//! with the measured one. Timing-based figures additionally have Criterion
-//! benches under `benches/`.
+//! with the measured one. The benches under `benches/` are plain `main`
+//! programs that carry the repository's performance gates: each measures
+//! its arms with the [`harness`] runner and records the samples and gate
+//! verdicts in `BENCH_<bench>.json` through [`Trajectory`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod trajectory;
 
+pub use harness::{best_of, pl0_corpus, WarmEngine, ID_REUSE};
 pub use trajectory::Trajectory;
 
 use pwd_core::ParserConfig;
@@ -18,13 +23,16 @@ use pwd_grammar::{gen, grammars, Cfg, Compiled};
 use pwd_lex::Lexeme;
 use std::time::{Duration, Instant};
 
-/// A corpus entry: target size, exact token count, and the lexeme stream.
+/// A corpus entry: target size, exact token count, source text, and the
+/// lexeme stream.
 #[derive(Debug, Clone)]
 pub struct CorpusFile {
     /// The generator's target token count.
     pub target: usize,
     /// Exact number of tokens after tokenization.
     pub tokens: usize,
+    /// The generated source text.
+    pub src: String,
     /// The token stream.
     pub lexemes: Vec<Lexeme>,
 }
@@ -38,7 +46,7 @@ pub fn python_corpus(targets: &[usize]) -> Vec<CorpusFile> {
         .map(|(i, &target)| {
             let src = gen::python_source(target, 0xC0FFEE + i as u64);
             let lexemes = pwd_lex::tokenize_python(&src).expect("generated corpus tokenizes");
-            CorpusFile { target, tokens: lexemes.len(), lexemes }
+            CorpusFile { target, tokens: lexemes.len(), src, lexemes }
         })
         .collect()
 }
@@ -55,6 +63,12 @@ pub fn default_sizes(full: bool) -> Vec<usize> {
 /// Parses `--full` from argv.
 pub fn full_flag() -> bool {
     std::env::args().any(|a| a == "--full")
+}
+
+/// Parses `--smoke` from argv: the gated benches' quick mode for noisy
+/// shared CI runners (smaller inputs or fewer rounds, relaxed thresholds).
+pub fn smoke_flag() -> bool {
+    std::env::args().any(|a| a == "--smoke")
 }
 
 /// The Python-subset grammar shared by all figures.

@@ -1,8 +1,7 @@
-//! The shared `BENCH_*.json` trajectory writer.
+//! The shared `BENCH_*.json` trajectory writer and reader.
 //!
-//! Every Criterion bench that records a machine-readable trajectory at the
-//! workspace root used to hand-format its own JSON lines; this module is
-//! the one schema they all share now. Each line is one sample:
+//! Every gated bench records its machine-readable trajectory at the
+//! workspace root in this one schema. Each line is one sample:
 //!
 //! ```text
 //! {"bench":"lexeme_diverse","name":"tokens=1019/recognize_speedup",
@@ -97,11 +96,30 @@ impl Trajectory {
     /// `env!("CARGO_MANIFEST_DIR")`. A write failure is reported, not fatal
     /// — the measurements were already printed.
     pub fn write(&self, manifest_dir: &str) {
-        let path = format!("{manifest_dir}/../../BENCH_{}.json", self.bench);
+        let path = path(manifest_dir, &self.bench);
         if let Err(e) = std::fs::write(&path, self.records.join("\n") + "\n") {
             eprintln!("note: could not write {path}: {e}");
         }
     }
+
+    /// Reads the sample `name` back out of a previously written
+    /// `BENCH_<bench>.json`, returning its whole line (for
+    /// [`carry_line`](Self::carry_line)) and its value. `None` when the
+    /// file or the sample is missing. A targeted string scan: the schema
+    /// is this module's own fixed format, and the workspace deliberately
+    /// carries no JSON parser.
+    pub fn read(manifest_dir: &str, bench: &str, name: &str) -> Option<(String, f64)> {
+        let text = std::fs::read_to_string(path(manifest_dir, bench)).ok()?;
+        let needle = format!("\"name\":\"{name}\",");
+        let line = text.lines().find(|l| l.contains(&needle))?;
+        let rest = line.split("\"value\":").nth(1)?;
+        let value = rest.split(',').next()?.parse().ok()?;
+        Some((line.to_string(), value))
+    }
+}
+
+fn path(manifest_dir: &str, bench: &str) -> String {
+    format!("{manifest_dir}/../../BENCH_{bench}.json")
 }
 
 #[cfg(test)]
@@ -140,6 +158,33 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"name\":\"carried\""), "carried line comes first");
         assert!(lines[1].contains("\"name\":\"n\""));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn read_returns_what_write_recorded_including_carried_lines() {
+        let root = std::env::temp_dir().join(format!("pwd-trajectory-read-{}", std::process::id()));
+        let manifest = root.join("crates").join("pwd-bench");
+        std::fs::create_dir_all(&manifest).unwrap();
+        let dir = manifest.to_str().unwrap();
+        let mut baseline = Trajectory::new("read_test");
+        baseline.record("tokens=9/base_ns", 1234.5, "ns");
+        baseline.write(dir);
+
+        let (carried, value) = Trajectory::read(dir, "read_test", "tokens=9/base_ns").unwrap();
+        assert_eq!(value, 1234.5);
+        let mut rerun = Trajectory::new("read_test");
+        rerun.gate("tokens=9/ratio", -0.25, "ratio", true);
+        rerun.record("tokens=9/base_ns_total", 1e-3, "ns");
+        rerun.carry_line(carried);
+        rerun.write(dir);
+
+        let read = |name| Trajectory::read(dir, "read_test", name).map(|(_, v)| v);
+        assert_eq!(read("tokens=9/base_ns"), Some(1234.5), "carried line survives the rewrite");
+        assert_eq!(read("tokens=9/ratio"), Some(-0.25));
+        assert_eq!(read("tokens=9/base_ns_total"), Some(1e-3), "names match exactly");
+        assert_eq!(read("tokens=9"), None);
+        assert_eq!(Trajectory::read(dir, "no_such_bench", "tokens=9/ratio"), None);
         std::fs::remove_dir_all(&root).ok();
     }
 }
